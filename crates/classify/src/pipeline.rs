@@ -100,17 +100,13 @@ impl TrainedClassifier {
     ///
     /// Originators classify in parallel chunks, each chunk served by
     /// the ensemble's batch path (every tree arena streams once per
-    /// chunk instead of once per originator; within a chunk eight rows
-    /// descend per tree level through the `bs-simd` lane path). The
-    /// result map is identical at any thread count (it is keyed, and
+    /// chunk instead of once per originator). The result map is
+    /// identical at any thread count and chunk size (it is keyed, and
     /// each prediction depends only on its own feature vector).
     pub fn classify_all(&self, features: &FeatureMap) -> BTreeMap<Ipv4Addr, ApplicationClass> {
         let entries: Vec<(&Ipv4Addr, &FeatureVector)> = features.iter().collect();
-        // Spread the batch across the pool, but keep every chunk a
-        // multiple of the lane width so only the final chunk of the
-        // whole batch runs a ragged tail block.
-        let per_thread = entries.len().div_ceil(bs_par::threads().max(1));
-        let chunk_size = per_thread.next_multiple_of(bs_simd::LANES).clamp(bs_simd::LANES, 256);
+        // One chunk per thread, capped so a large batch still spreads.
+        let chunk_size = entries.len().div_ceil(bs_par::threads().max(1)).clamp(1, 256);
         bs_par::par_chunks(&entries, chunk_size, |_, chunk| {
             let xs: Vec<Vec<f64>> = chunk.iter().map(|(_, fv)| fv.to_vec()).collect();
             chunk
@@ -198,10 +194,8 @@ mod tests {
         assert!(pipe.train(&only_spam, &features, 1).is_none());
     }
 
-    /// Regression for the lane-path chunking: batch sizes whose tail
-    /// block is ragged (`n % LANES != 0`) must classify identically to
-    /// the per-row scalar path — padding lanes' outputs are discarded,
-    /// never mixed into real rows.
+    /// Batch sizes that leave a ragged final chunk must classify
+    /// identically to the per-row path.
     #[test]
     fn classify_all_ragged_tails_match_per_row_classify() {
         let (labeled, features) = setup();

@@ -27,7 +27,7 @@
 //! achievable rather than merely approximate.
 
 use crate::dataset::Dataset;
-use bs_mlcore::{argmax_first, ColumnarView, FlatTree, LaneBlocks, PresortedColumns, LEAF};
+use bs_mlcore::{argmax_first, ColumnarView, FlatTree, PresortedColumns, LEAF};
 use bs_par::Rng;
 
 /// Growth controls for a CART tree.
@@ -119,31 +119,12 @@ impl DecisionTree {
         self.flat.predict(x) as usize
     }
 
-    /// Predict many feature vectors through the lane-parallel blocked
-    /// descent ([`FlatTree::predict_lanes`]): transpose once, then
-    /// eight rows walk the arena per tree level. Bit-identical to
-    /// [`DecisionTree::predict_all_rows`], the retained row-at-a-time
-    /// reference.
+    /// Predict many feature vectors, one arena walk per row.
     pub fn predict_all(&self, xs: &[Vec<f64>]) -> Vec<usize> {
-        let blocks = LaneBlocks::from_rows(xs, self.n_features);
-        self.flat.predict_blocked(&blocks).into_iter().map(|c| c as usize).collect()
-    }
-
-    /// Row-at-a-time batch prediction — the executable reference the
-    /// lane path is property-tested against (`tests/simd_equivalence.rs`).
-    pub fn predict_all_rows(&self, xs: &[Vec<f64>]) -> Vec<usize> {
         for x in xs {
             assert_eq!(x.len(), self.n_features, "feature arity mismatch");
         }
         self.flat.predict_all(xs).into_iter().map(|c| c as usize).collect()
-    }
-
-    /// Predict each block of a pre-transposed batch, appending into a
-    /// caller-owned buffer (forest voting support: the forest
-    /// transposes once and reuses the buffer across trees).
-    pub(crate) fn predict_blocked_into(&self, blocks: &LaneBlocks, out: &mut Vec<u32>) {
-        assert_eq!(blocks.n_features(), self.n_features, "feature arity mismatch");
-        self.flat.predict_blocked_into(blocks, out);
     }
 
     /// Feature arity this tree was trained on.

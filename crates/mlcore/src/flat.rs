@@ -9,9 +9,6 @@
 //! format, so serialization is a linear scan and the format stays
 //! byte-identical to the boxed original.
 
-use crate::block::LaneBlocks;
-use bs_simd::{F64x8, U32x8, LANES};
-
 /// Sentinel feature index marking a leaf node.
 pub const LEAF: u32 = u32::MAX;
 
@@ -83,76 +80,6 @@ impl FlatTree {
     /// Batch predict: one pass over the arena-resident tree per row.
     pub fn predict_all<R: AsRef<[f64]>>(&self, rows: &[R]) -> Vec<u32> {
         rows.iter().map(|r| self.predict(r.as_ref())).collect()
-    }
-
-    /// Level-synchronous lane descent: [`LANES`] rows advance one tree
-    /// level per iteration with branchless node stepping.
-    ///
-    /// `block` is one feature-major [`LaneBlocks`] block (feature `f`
-    /// of lane `l` at `f * LANES + l`). Each iteration gathers the
-    /// eight cursors' node fields, compares `x[feature] <= threshold`
-    /// lane-wise (IEEE `<=`, the exact scalar branch condition) and
-    /// selects `cursor + 1` or `right` — no per-lane branching, so the
-    /// eight dependency chains issue in parallel. Lanes that reach a
-    /// leaf are **parked** on it via a masked self-loop (the sentinel
-    /// self-loop: their cursor selects itself) until every lane is
-    /// done; parked lanes gather feature 0 harmlessly, which exists
-    /// whenever the tree contains any split.
-    ///
-    /// Bit-identical to eight [`FlatTree::predict`] calls: every
-    /// per-lane compare and index computation is the same expression on
-    /// the same bits, and no floating-point reduction is involved.
-    pub fn predict_lanes(&self, block: &[f64]) -> [u32; LANES] {
-        debug_assert_eq!(block.len() % LANES, 0, "block is feature-major × LANES");
-        let nodes = self.nodes.as_slice();
-        let leaf = U32x8::splat(LEAF);
-        let one = U32x8::splat(1);
-        let mut cur = U32x8::splat(0);
-        loop {
-            // One gather pass per level: read each lane's node exactly
-            // once and scatter its fields into lane-shaped arrays.
-            let mut feat_a = [0u32; LANES];
-            let mut thr_a = [0.0f64; LANES];
-            let mut right_a = [0u32; LANES];
-            for l in 0..LANES {
-                let n = &nodes[cur.get(l) as usize];
-                feat_a[l] = n.feature;
-                thr_a[l] = n.threshold;
-                right_a[l] = n.right;
-            }
-            let feat = U32x8::from_array(feat_a);
-            let parked = feat.eq(leaf);
-            if parked.all() {
-                // For LEAF nodes `right` holds the class.
-                return right_a;
-            }
-            let gather_feat = parked.select_u32(U32x8::splat(0), feat);
-            let x = F64x8::from_fn(|l| block[gather_feat.get(l) as usize * LANES + l]);
-            let next = x
-                .le(F64x8::from_array(thr_a))
-                .select_u32(cur.wrapping_add(one), U32x8::from_array(right_a));
-            cur = parked.select_u32(cur, next);
-        }
-    }
-
-    /// Predict every row of `blocks` through [`FlatTree::predict_lanes`],
-    /// appending classes in row order to `out` (padding-lane outputs of
-    /// a ragged final block are discarded).
-    pub fn predict_blocked_into(&self, blocks: &LaneBlocks, out: &mut Vec<u32>) {
-        out.reserve(blocks.n_rows());
-        for b in 0..blocks.n_blocks() {
-            let classes = self.predict_lanes(blocks.block(b));
-            let take = LANES.min(blocks.n_rows() - b * LANES);
-            out.extend_from_slice(&classes[..take]);
-        }
-    }
-
-    /// Predict every row of `blocks` through the lane path; classes in
-    /// row order.
-    pub fn predict_blocked(&self, blocks: &LaneBlocks) -> Vec<u32> {
-        let mut out = Vec::new();
-        self.predict_blocked_into(blocks, &mut out);
-        out
     }
 
     /// Number of nodes.
@@ -237,11 +164,25 @@ mod tests {
     #[test]
     fn predict_all_matches_predict() {
         let t = two_level();
-        let rows: Vec<Vec<f64>> =
-            vec![vec![0.0, 3.0], vec![0.0, 9.0], vec![2.0, 0.0], vec![1.0, 5.0]];
+        // Rows stop at different depths (the depth-1 leaf C or a
+        // depth-2 leaf), with boundary values at both levels.
+        let rows: Vec<Vec<f64>> = vec![
+            vec![0.0, 3.0],
+            vec![0.0, 9.0],
+            vec![2.0, 0.0],
+            vec![1.0, 5.0],
+            vec![9.0, 9.0],
+            vec![0.5, 5.0],
+            vec![1.0, 5.1],
+            vec![-1.0, -1.0],
+        ];
         let batch = t.predict_all(&rows);
         let single: Vec<u32> = rows.iter().map(|r| t.predict(r)).collect();
         assert_eq!(batch, single);
+        assert_eq!(batch, vec![0, 1, 2, 0, 2, 0, 1, 0]);
+        let mut stump = FlatTree::new();
+        stump.push_leaf(7);
+        assert_eq!(stump.predict_all(&[[0.0f64; 0]; 3]), vec![7, 7, 7]);
     }
 
     #[test]
@@ -261,48 +202,5 @@ mod tests {
     #[should_panic(expected = "leaf sentinel")]
     fn split_on_sentinel_feature_is_rejected() {
         FlatTree::new().begin_split(LEAF, 0.0);
-    }
-
-    #[test]
-    fn predict_lanes_matches_scalar_on_mixed_depth_lanes() {
-        let t = two_level();
-        // Lanes park at different levels: some reach the depth-1 leaf C
-        // immediately, others descend to depth 2 — exercising the
-        // masked self-loop while live lanes keep stepping.
-        let rows: Vec<Vec<f64>> = vec![
-            vec![0.0, 3.0],
-            vec![2.0, 0.0],
-            vec![0.0, 9.0],
-            vec![1.0, 5.0],
-            vec![9.0, 9.0],
-            vec![0.5, 5.0],
-            vec![1.0, 5.1],
-            vec![-1.0, -1.0],
-        ];
-        let blocks = LaneBlocks::from_rows(&rows, 2);
-        let lanes = t.predict_lanes(blocks.block(0));
-        for (l, row) in rows.iter().enumerate() {
-            assert_eq!(lanes[l], t.predict(row), "lane {l}");
-        }
-    }
-
-    #[test]
-    fn predict_blocked_matches_predict_all_on_ragged_tails() {
-        let t = two_level();
-        for n in [0usize, 1, 7, 8, 9, 16, 19] {
-            let rows: Vec<Vec<f64>> =
-                (0..n).map(|i| vec![i as f64 * 0.3 - 1.0, (i % 7) as f64]).collect();
-            let blocks = LaneBlocks::from_rows(&rows, 2);
-            assert_eq!(t.predict_blocked(&blocks), t.predict_all(&rows), "n = {n}");
-        }
-    }
-
-    #[test]
-    fn predict_lanes_handles_leaf_only_tree_without_features() {
-        let mut stump = FlatTree::new();
-        stump.push_leaf(7);
-        let rows: Vec<Vec<f64>> = vec![vec![]; 3];
-        let blocks = LaneBlocks::from_rows(&rows, 0);
-        assert_eq!(stump.predict_blocked(&blocks), vec![7, 7, 7]);
     }
 }

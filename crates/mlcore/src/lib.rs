@@ -23,13 +23,7 @@
 //!   `O(nodes · features · n log n)` re-sort;
 //! * [`FlatTree`] — a pre-order `Vec<FlatNode>` arena with implicit
 //!   left children and `u32` right offsets: iterative `predict`, batch
-//!   [`FlatTree::predict_all`], no pointer chasing — plus the
-//!   lane-parallel [`FlatTree::predict_lanes`] /
-//!   [`FlatTree::predict_blocked`] level-synchronous descent
-//!   (DESIGN.md §16);
-//! * [`LaneBlocks`] — transposed row blocks for the lane path: each
-//!   block of `bs_simd::LANES` rows stored feature-major so a
-//!   per-level gather reads eight contiguous values;
+//!   [`FlatTree::predict_all`], no pointer chasing;
 //! * [`RowMatrix`] — flat row-major storage for kernel methods (one
 //!   allocation, contiguous rows);
 //! * [`GramCache`] — a per-machine kernel cache: full Gram matrix up
@@ -50,13 +44,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod block;
 mod flat;
 mod gram;
 mod matrix;
 mod presort;
 
-pub use block::LaneBlocks;
 pub use flat::{FlatNode, FlatTree, LEAF};
 pub use gram::GramCache;
 pub use matrix::{ColumnarView, RowMatrix};

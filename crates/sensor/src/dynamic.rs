@@ -233,7 +233,7 @@ pub fn normalized_entropy(values: &[u32], alphabet: f64) -> f64 {
 /// The retained `BTreeMap`-histogram reference for
 /// [`normalized_entropy`] — the executable specification the sorted-run
 /// fast path is property-tested bit-identical to
-/// (`tests/simd_equivalence.rs`).
+/// (`tests/reference_equivalence.rs`).
 pub fn normalized_entropy_reference(values: &[u32], alphabet: f64) -> f64 {
     if values.len() <= 1 || alphabet <= 1.0 {
         return 0.0;

@@ -99,7 +99,7 @@ fn resolve_chunked(addrs: &[Ipv4Addr], info: &(impl QuerierInfo + Sync)) -> Vec<
         // One profiler ledger slot per chunk, not per originator (let
         // alone per querier): the static keyword matcher now runs
         // exactly here, once per unique querier.
-        let _cost = bs_prof::stage("sensor.static.lanes", bs_trace::ledger::current_window());
+        let _cost = bs_prof::stage("sensor.static", bs_trace::ledger::current_window());
         chunk.iter().map(|a| resolve_querier(info, *a)).collect::<Vec<_>>()
     })
     .concat()

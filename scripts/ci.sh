@@ -41,9 +41,6 @@ cargo clippy -p bs-sensor --all-targets -- -D warnings
 echo "=== cargo clippy bs-prof (the sampling profiler, separately)"
 cargo clippy -p bs-prof --all-targets -- -D warnings
 
-echo "=== cargo clippy bs-simd (the portable-lane core, separately)"
-cargo clippy -p bs-simd --all-targets -- -D warnings
-
 echo "=== cargo build --release"
 cargo build --release
 
@@ -52,9 +49,6 @@ cargo test -q -p bs-trace
 
 echo "=== cargo test bs-fastmap (standalone, zero-dep library)"
 cargo test -q -p bs-fastmap
-
-echo "=== cargo test bs-simd (standalone, zero-dep)"
-cargo test -q -p bs-simd
 
 echo "=== cargo test bs-mlcore (standalone, zero-dep)"
 cargo test -q -p bs-mlcore
@@ -71,11 +65,11 @@ BS_THREADS=1 cargo test -q -p bs-ml --test mlcore_equivalence
 echo "=== ML fast-path equivalence (parallel: BS_THREADS=8)"
 BS_THREADS=8 cargo test -q -p bs-ml --test mlcore_equivalence
 
-echo "=== simd lane equivalence (sequential: BS_THREADS=1)"
-BS_THREADS=1 cargo test -q --test simd_equivalence
+echo "=== predict/matcher/entropy reference equivalence (sequential: BS_THREADS=1)"
+BS_THREADS=1 cargo test -q --test reference_equivalence
 
-echo "=== simd lane equivalence (parallel: BS_THREADS=8)"
-BS_THREADS=8 cargo test -q --test simd_equivalence
+echo "=== predict/matcher/entropy reference equivalence (parallel: BS_THREADS=8)"
+BS_THREADS=8 cargo test -q --test reference_equivalence
 
 echo "=== shard equivalence (sequential: BS_THREADS=1)"
 BS_THREADS=1 cargo test -q -p bs-sensor --test shard_equivalence
@@ -116,9 +110,9 @@ target/release/backscatter simulate --dataset M-sampled --scale smoke \
     --out "$trace_tmp/ms-default.tsv"
 cmp "$trace_tmp/ms-1.tsv" "$trace_tmp/ms-default.tsv"
 
-echo "=== CLI smoke: classify end-to-end through the lane-blocked predict path"
+echo "=== CLI smoke: classify end-to-end through the batch predict path"
 # The full pipeline (curate → train → classify_all) serves every
-# prediction through Forest::predict_all's bs-simd lane descent.
+# prediction through Forest::predict_all's per-row tree walk.
 classify_out="$(target/release/backscatter classify --log "$trace_tmp/jp.tsv" \
     --dataset JP-ditl --scale smoke --seed 5)"
 grep -q "originator" <<<"$classify_out"
@@ -137,6 +131,14 @@ extract_out="$(target/release/backscatter stream --log "$trace_tmp/jp.tsv" \
     --window 600 --extract 1)"
 grep -q "analyzable" <<<"$extract_out"
 grep -q "qmeta cache:" <<<"$extract_out"
+
+echo "=== CLI smoke: stream auto (plain sensor) equals --shards 2 below the caps"
+# The sharded engine splits the memory caps across its slices, so the
+# two engines agree only while nothing is evicted; this log evicts none.
+grep -q "windows, 0 evicted$" <<<"$extract_out" || { echo "jp.tsv evicts; raise --max-originators"; exit 1; }
+target/release/backscatter stream --log "$trace_tmp/jp.tsv" --window 600 --extract 1 \
+    --shards 2 > "$trace_tmp/stream-2.out"
+cmp <(printf '%s\n' "$extract_out") "$trace_tmp/stream-2.out"
 
 echo "=== CLI smoke: sharded stream --serve answers a live scrape"
 target/release/backscatter stream --log "$trace_tmp/jp.tsv" --window 600 \

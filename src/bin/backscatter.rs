@@ -547,10 +547,11 @@ metric naming: dotted crate.stage names, e.g.
   bench.ingest.*             perf_snapshot ingest throughput gauges
                              (records/sec, fast path vs BTree reference)
   bench.ingest.scaling.*     sharded ingest rps at 1/2/4/8 lanes and
-                             parallel efficiency (milli, 4 lanes)
+                             parallel efficiency (milli, 4 lanes vs the
+                             plain sensor's stream_fast_rps)
   bench.ml.*                 perf_snapshot ML gauges: forest/SVM fit rps
                              (fast vs reference) and forest predict rps
-                             (lane-blocked vs row batch vs per-row)
+                             (batch vs per-row)
   bench.sensor.*             perf_snapshot sensor gauges: static-feature
                              classification rps (packed matcher vs
                              byte-at-a-time reference) and extraction
@@ -647,10 +648,11 @@ commands:
   stream    --log <log.tsv> [--window S] [--max-originators N]
             [--shards N] [--pace RPS] [--linger S] [--extract M]
             replay a log through the streaming sensor as a live
-            process; --shards fans ingest across N hash-sharded lanes
-            (0 = auto from BS_THREADS/cores, output identical at any
-            count), --pace throttles to records/sec, --linger keeps
-            the process (and any --serve endpoint) up after ingest,
+            process; --shards N > 1 fans ingest across N hash-sharded
+            lanes (0 = auto, the plain sensor; output matches it while
+            no memory cap binds), --pace throttles to records/sec,
+            --linger keeps the process (and any --serve endpoint) up
+            after ingest,
             --extract M additionally extracts features per window
             (analyzability threshold M unique queriers) through the
             cross-window querier metadata cache
